@@ -1,4 +1,5 @@
-//! Cost of the design alternatives called out in DESIGN.md.
+//! Cost of the design alternatives documented on the `rats-sched` knobs
+//! (`CandidatePolicy`, `AreaPolicy`, `AllocParams::cp_includes_comm`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rats_bench::{grillon, irregular50};
@@ -28,7 +29,8 @@ fn bench_area_policies(c: &mut Criterion) {
             })
         });
     }
-    // The comm-inclusive critical path (rejected default; see DESIGN.md).
+    // The comm-inclusive critical path (rejected default; see
+    // `AllocParams::cp_includes_comm`).
     g.bench_function("hcpa_comm_cp", |b| {
         b.iter(|| {
             allocate(

@@ -9,8 +9,9 @@
 //!   alignment and estimation;
 //! * `artifacts` — one benchmark per paper table/figure, regenerating a
 //!   quick-scale version of each artifact end to end;
-//! * `ablation` — cost of the design alternatives called out in DESIGN.md
-//!   (candidate policies, area policies, comm-inclusive critical path).
+//! * `ablation` — cost of the design alternatives documented on the
+//!   `rats-sched` knobs (candidate policies, area policies,
+//!   comm-inclusive critical path).
 
 use rats::Pipeline;
 use rats_dag::TaskGraph;

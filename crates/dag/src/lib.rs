@@ -20,6 +20,8 @@
 //!   per-round full-graph re-scan ([`ReadyTracker`], [`SuccessorView`]);
 //! * Graphviz DOT export for debugging ([`TaskGraph::to_dot`]).
 
+#![forbid(unsafe_code)]
+
 mod analysis;
 mod graph;
 mod ids;

@@ -23,6 +23,8 @@
 //! edges connect consecutive levels). All generators are deterministic
 //! functions of a `u64` seed.
 
+#![forbid(unsafe_code)]
+
 mod fft;
 pub mod population;
 mod random;

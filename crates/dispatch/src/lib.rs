@@ -43,6 +43,8 @@
 //! campaign worker  dispatch/<name>-<hash>   # on any host sharing the dir
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 use rats_experiments::shard::{MergeError, ShardError};

@@ -13,7 +13,7 @@ use rats_dispatch::worker::SHARDS_DIR;
 use rats_dispatch::WorkQueue;
 use rats_experiments::grid::ShardSpec;
 use rats_experiments::shard::{
-    merge_shards, read_shard_file, run_shard, shard_file_name, ShardManifest,
+    merge_shards, read_shard_file, run_shard, shard_file_name, ShardManifest, ShardOptions,
 };
 use rats_experiments::spec::{ExperimentSpec, SuiteSpec};
 
@@ -176,7 +176,7 @@ fn resume_after_death_between_manifest_and_first_record() {
     let heir_dir = root.join(SHARDS_DIR).join("heir");
     fs::create_dir_all(&heir_dir).unwrap();
     fs::copy(dead_dir.join(&file), heir_dir.join(&file)).unwrap();
-    let resumed = run_shard(&shard0, &heir_dir, None).unwrap();
+    let resumed = run_shard(&shard0, &heir_dir, ShardOptions::default()).unwrap();
     assert_eq!(resumed.skipped, 0, "no records had been committed");
     assert_eq!(resumed.executed, resumed.total);
     let shard1 = {
@@ -184,7 +184,7 @@ fn resume_after_death_between_manifest_and_first_record() {
         s.shard = Some(ShardSpec::new(1, 2));
         s
     };
-    run_shard(&shard1, &heir_dir, None).unwrap();
+    run_shard(&shard1, &heir_dir, ShardOptions::default()).unwrap();
 
     let merged = merge_shards(&[
         dead_dir.join(&file),
@@ -215,7 +215,15 @@ fn reclaim_with_no_shard_file_restarts_cleanly() {
     let mut shard_spec = spec.clone();
     shard_spec.shard = Some(heir.shard());
     let heir_dir = root.join(SHARDS_DIR).join("heir");
-    let run = run_shard(&shard_spec, &heir_dir, Some(2)).unwrap();
+    let run = run_shard(
+        &shard_spec,
+        &heir_dir,
+        ShardOptions {
+            threads: Some(2),
+            ..ShardOptions::default()
+        },
+    )
+    .unwrap();
     assert_eq!(run.skipped, 0);
     assert!(queue.mark_done(&heir).unwrap());
     assert!(queue.status().unwrap().all_done());

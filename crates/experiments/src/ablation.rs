@@ -1,4 +1,6 @@
-//! Quality ablations for the design choices DESIGN.md calls out.
+//! Quality ablations for the design choices documented on the `rats-sched`
+//! knobs they toggle: [`CandidatePolicy`], [`AreaPolicy`],
+//! `AllocParams::cp_includes_comm` and the combined strategy.
 //!
 //! Unlike the Criterion benches (which time the code), these experiments
 //! measure **schedule quality**: how each design alternative moves the

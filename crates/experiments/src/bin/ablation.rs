@@ -1,6 +1,10 @@
-//! Quality ablations for the design alternatives (see DESIGN.md §5):
+//! Quality ablations for the design alternatives (rationale on the
+//! `rats-sched` types `CandidatePolicy`, `AreaPolicy` and `AllocParams`):
 //! candidate policies, the combined strategy, area policies, and the
 //! communication-inclusive critical path.
+
+#![forbid(unsafe_code)]
+
 use rats_experiments::artifacts::{cli_opts_thin, load_suite};
 use rats_experiments::campaign::PreparedScenario;
 use rats_platform::{ClusterSpec, Platform};

@@ -1,4 +1,7 @@
 //! Regenerates Table IV (tuned parameters per family and cluster).
+
+#![forbid(unsafe_code)]
+
 fn main() {
     let (quick, threads, thin) = rats_experiments::artifacts::cli_opts_thin();
     print!(

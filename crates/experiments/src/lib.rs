@@ -29,6 +29,8 @@
 //! binary runs spec files — in-process, or sharded via its `run` and
 //! `merge` subcommands.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod artifacts;
 pub mod campaign;
@@ -47,11 +49,10 @@ pub use campaign::{
 };
 pub use grid::{JobCoords, JobGrid, JobId, ShardSpec};
 pub use record::RunRecord;
-pub use runner::{parallel_map, parallel_map_pooled, ParallelExec};
+pub use runner::parallel_map;
 pub use shard::{
-    collect_shard_files, merge_shards, read_shard_file, run_shard, run_shard_hooked,
-    run_shard_journaled, run_shard_with_scenarios, shard_file_name, AllocSource, MergeError,
-    ShardError, ShardHooks, ShardManifest, ShardRun,
+    collect_shard_files, merge_shards, read_shard_file, run_shard, shard_file_name, AllocSource,
+    MergeError, ShardError, ShardManifest, ShardOptions, ShardRun,
 };
 pub use spec::{ExperimentSpec, SpecError, SpecOutcome, StrategySpec, SuiteSpec, SUITE_NAMES};
 pub use stats::{degradation_from_best, pairwise, summarize, Degradation, PairwiseCount};

@@ -6,7 +6,8 @@ use std::sync::mpsc;
 
 /// Applies `f` to every item on `threads` worker threads and returns the
 /// results **in input order** (work is handed out by an atomic cursor, so
-/// scheduling is dynamic but the output is deterministic).
+/// scheduling is dynamic but the output is deterministic). Empty input
+/// spawns nothing, and one thread's worth of work runs on the caller.
 ///
 /// # Panics
 ///
@@ -21,7 +22,15 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     type Caught<R> = Result<R, Box<dyn std::any::Any + Send>>;
-    let threads = threads.max(1).min(items.len().max(1));
+    if items.is_empty() {
+        return Vec::new();
+    }
+    let threads = threads.clamp(1, items.len());
+    if threads == 1 {
+        // In order on the caller: the same results and the same first
+        // panic as one worker thread, without spawning it.
+        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+    }
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, Caught<R>)>();
     std::thread::scope(|scope| {
@@ -71,63 +80,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// A resident execution pool that can run `n` index-addressed tasks.
-///
-/// [`parallel_map`] spins up scoped threads per call — the right trade for
-/// a batch CLI, the wrong one for a long-lived server where every request
-/// would pay thread spawn/teardown. Implementations of this trait (e.g. the
-/// `rats-server` worker fleet) keep threads resident and multiplex batches
-/// from many concurrent campaigns over them.
-///
-/// # Contract
-///
-/// `run_indexed(n, task)` must call `task(i)` exactly once for every
-/// `i in 0..n`, return only after all calls have completed, and propagate a
-/// task panic to the caller — re-raising the payload of the lowest-indexed
-/// failing call, matching [`parallel_map`]'s deterministic failure surface.
-pub trait ParallelExec: Sync {
-    /// Runs `task(i)` for every `i in 0..n`; blocks until all complete.
-    fn run_indexed(&self, n: usize, task: &(dyn Fn(usize) + Sync));
-}
-
-/// [`parallel_map`] that executes on a resident [`ParallelExec`] pool when
-/// one is supplied, and falls back to the scoped-thread path otherwise.
-///
-/// With a pool, `threads` is ignored — the pool's resident width governs
-/// parallelism. Output order and panic semantics are identical either way,
-/// so results are bit-identical regardless of which path ran (pinned by
-/// the `pooled_matches_scoped` test below).
-pub fn parallel_map_pooled<T, R, F>(
-    pool: Option<&dyn ParallelExec>,
-    items: &[T],
-    threads: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let Some(pool) = pool else {
-        return parallel_map(items, threads, f);
-    };
-    let slots: Vec<std::sync::Mutex<Option<R>>> = (0..items.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    pool.run_indexed(items.len(), &|i| {
-        let result = f(i, &items[i]);
-        *slots[i].lock().expect("result slot never poisoned") = Some(result);
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot never poisoned")
-                .expect("pool ran every index")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,46 +115,23 @@ mod tests {
     #[test]
     fn worker_panic_payload_reaches_the_caller() {
         let items: Vec<usize> = (0..16).collect();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map(&items, 4, |_, &x| {
-                if x == 7 {
-                    panic!("boom on item {x}");
-                }
-                x
-            })
-        }))
-        .expect_err("the worker panic must propagate");
-        let message = caught
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| caught.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("panic payload is a message");
-        assert!(message.contains("boom on item 7"), "got: {message}");
-    }
-
-    /// A deliberately serial pool: the contract only requires every index
-    /// to run before `run_indexed` returns.
-    struct SerialPool;
-    impl ParallelExec for SerialPool {
-        fn run_indexed(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
-            for i in 0..n {
-                task(i);
-            }
+        for threads in [1, 4] {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                parallel_map(&items, threads, |_, &x| {
+                    if x == 7 {
+                        panic!("boom on item {x}");
+                    }
+                    x
+                })
+            }))
+            .expect_err("the worker panic must propagate");
+            let message = caught
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| caught.downcast_ref::<&str>().map(|s| s.to_string()))
+                .expect("panic payload is a message");
+            assert!(message.contains("boom on item 7"), "got: {message}");
         }
-    }
-
-    #[test]
-    fn pooled_matches_scoped() {
-        let items: Vec<usize> = (0..64).collect();
-        let scoped = parallel_map_pooled(None, &items, 4, |i, &x| i * 1000 + x);
-        let pooled = parallel_map_pooled(Some(&SerialPool), &items, 4, |i, &x| i * 1000 + x);
-        assert_eq!(scoped, pooled);
-    }
-
-    #[test]
-    fn pooled_empty_input() {
-        let items: Vec<u32> = vec![];
-        assert!(parallel_map_pooled(Some(&SerialPool), &items, 8, |_, &x| x).is_empty());
     }
 
     #[test]

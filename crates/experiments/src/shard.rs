@@ -27,6 +27,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use rats_daggen::suite::Scenario;
 use rats_journal::{Event, Journal};
@@ -37,7 +38,7 @@ use serde::{Deserialize, Serialize, Value};
 use crate::campaign::{AlgoResults, PreparedScenario};
 use crate::grid::{JobId, ShardSpec};
 use crate::record::RunRecord;
-use crate::runner::{default_threads, parallel_map_pooled, ParallelExec};
+use crate::runner::{default_threads, parallel_map};
 use crate::spec::{ClusterResults, ExperimentSpec, SpecError, SpecOutcome};
 
 /// Number of jobs evaluated between appends — the upper bound on work a
@@ -112,7 +113,7 @@ pub struct ShardRun {
     pub skipped: usize,
     /// Total jobs in the shard.
     pub total: usize,
-    /// Whether a [`ShardHooks::cancel`] flag stopped the run early. The
+    /// Whether a [`ShardOptions::cancel`] flag stopped the run early. The
     /// records written so far are committed (a later run resumes past
     /// them); `executed` counts only what landed.
     pub aborted: bool,
@@ -125,7 +126,7 @@ pub struct ShardRun {
 /// allocation is bit-identical to a recomputed one — serving it from a
 /// resident cache changes wall-clock, never results. A long-lived server
 /// implements this over an LRU keyed by population + cluster shape;
-/// [`run_shard_hooked`] consults it before step one and publishes whatever
+/// [`run_shard`] consults it before step one and publishes whatever
 /// it had to compute.
 pub trait AllocSource: Sync {
     /// A cached allocation for `scenario` on `cluster`, if present.
@@ -134,10 +135,25 @@ pub trait AllocSource: Sync {
     fn publish(&self, cluster: &str, scenario: usize, alloc: &Allocation);
 }
 
-/// Optional extension points for [`run_shard_hooked`]. `Default` is the
-/// plain batch behaviour ([`run_shard_journaled`] passes it).
+/// Optional inputs of [`run_shard`]. `Default` is the plain batch run.
 #[derive(Default)]
-pub struct ShardHooks<'a> {
+pub struct ShardOptions<'a> {
+    /// Worker threads; overrides the spec's `threads` (default: every
+    /// available CPU). The value used is recorded in the manifest.
+    pub threads: Option<usize>,
+    /// An externally supplied scenario population. It must be exactly what
+    /// [`ExperimentSpec::scenarios`] would generate for this spec (same
+    /// suite, same seed — ids dense and in order); dispatch workers pass
+    /// the population loaded from a shared cache so one generation serves
+    /// every worker process. `None` regenerates locally.
+    pub scenarios: Option<&'a [Scenario]>,
+    /// Campaign-journal instrumentation: the run emits `job-started` on
+    /// entry (after resume bookkeeping, so `skipped` is the resumed
+    /// count), `chunk-done` after each committed write batch, and
+    /// `job-finished` with the wall-clock total — the timing events
+    /// `campaign status` turns into ETA and throughput. Journaling is
+    /// provenance, not control flow, and never fails the shard.
+    pub journal: Option<&'a mut Journal>,
     /// Called once per record, immediately after its line (and trailing
     /// newline) is appended to the shard file — the streaming hook a
     /// server uses to push results to a client as they land. Records
@@ -146,12 +162,10 @@ pub struct ShardHooks<'a> {
     pub on_record: Option<&'a mut dyn FnMut(&RunRecord)>,
     /// Warm step-one allocations (see [`AllocSource`]).
     pub allocs: Option<&'a dyn AllocSource>,
-    /// Resident execution pool; `None` uses per-call scoped threads.
-    pub pool: Option<&'a dyn ParallelExec>,
     /// Cooperative cancellation, checked between write chunks: when set,
     /// the run returns early with [`ShardRun::aborted`] instead of an
     /// error, leaving a resumable shard file behind.
-    pub cancel: Option<&'a std::sync::atomic::AtomicBool>,
+    pub cancel: Option<&'a AtomicBool>,
 }
 
 /// Errors from executing a shard.
@@ -233,75 +247,28 @@ pub fn shard_file_name(spec: &ExperimentSpec) -> String {
 /// Executes the spec's shard (default: the full grid as shard `0/1`),
 /// appending one JSONL record per job to `dir/`[`shard_file_name`]. Jobs
 /// already recorded are skipped, so re-running after a crash resumes where
-/// the file ends. `threads` overrides the spec's thread count; the value
-/// actually used is recorded in the manifest.
+/// the file ends. [`ShardOptions`] carries every optional input; its
+/// `Default` is the plain batch run.
+///
+/// Every option is wall-clock-only: the shard file bytes, the record values
+/// and the journal decision stream are bit-identical with or without them
+/// (a provided population must equal the generated one, warm allocations
+/// are pure-function cache hits). Cancellation is the one behavioural
+/// addition — it commits the chunks written so far and returns
+/// [`ShardRun::aborted`].
 pub fn run_shard(
     spec: &ExperimentSpec,
     dir: &Path,
-    threads: Option<usize>,
+    opts: ShardOptions<'_>,
 ) -> Result<ShardRun, ShardError> {
-    run_shard_with_scenarios(spec, dir, threads, None)
-}
-
-/// [`run_shard`] with an externally supplied scenario population.
-///
-/// `scenarios`, when given, must be exactly what
-/// [`ExperimentSpec::scenarios`] would generate for this spec (same suite,
-/// same seed — ids dense and in order); dispatch workers pass the
-/// population loaded from a shared cache so one generation serves every
-/// worker process. `None` regenerates locally.
-pub fn run_shard_with_scenarios(
-    spec: &ExperimentSpec,
-    dir: &Path,
-    threads: Option<usize>,
-    scenarios: Option<&[Scenario]>,
-) -> Result<ShardRun, ShardError> {
-    run_shard_journaled(spec, dir, threads, scenarios, None)
-}
-
-/// [`run_shard_with_scenarios`] with campaign-journal instrumentation.
-///
-/// When a [`Journal`] is supplied the run emits `job-started` on entry
-/// (after resume bookkeeping, so `skipped` is the resumed count),
-/// `chunk-done` after each committed write batch, and `job-finished` with
-/// the wall-clock total — the timing events `campaign status` turns into
-/// ETA and throughput. `None` runs exactly as before; journaling is
-/// provenance, not control flow, and never fails the shard.
-pub fn run_shard_journaled(
-    spec: &ExperimentSpec,
-    dir: &Path,
-    threads: Option<usize>,
-    scenarios: Option<&[Scenario]>,
-    journal: Option<&mut Journal>,
-) -> Result<ShardRun, ShardError> {
-    run_shard_hooked(
-        spec,
-        dir,
+    let ShardOptions {
         threads,
         scenarios,
-        journal,
-        ShardHooks::default(),
-    )
-}
-
-/// [`run_shard_journaled`] with server extension points ([`ShardHooks`]):
-/// per-record streaming, warm step-one allocations, a resident execution
-/// pool and cooperative cancellation.
-///
-/// Every hook is wall-clock-only: the shard file bytes, the record values
-/// and the journal decision stream are bit-identical to the default batch
-/// path (warm allocations are pure-function cache hits, the pool preserves
-/// [`parallel_map`](crate::runner::parallel_map)'s ordered collection).
-/// Cancellation is the one behavioural addition — it commits the chunks
-/// written so far and returns [`ShardRun::aborted`].
-pub fn run_shard_hooked(
-    spec: &ExperimentSpec,
-    dir: &Path,
-    threads: Option<usize>,
-    scenarios: Option<&[Scenario]>,
-    mut journal: Option<&mut Journal>,
-    mut hooks: ShardHooks<'_>,
-) -> Result<ShardRun, ShardError> {
+        mut journal,
+        mut on_record,
+        allocs: alloc_source,
+        cancel,
+    } = opts;
     spec.validate()?;
     if let Some(provided) = scenarios {
         let expected = spec.suite.len();
@@ -460,11 +427,7 @@ pub fn run_shard_hooked(
         "suite size constants out of sync with the generators"
     );
 
-    let cancelled = || {
-        hooks
-            .cancel
-            .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-    };
+    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
     let mut file = fs::OpenOptions::new().append(true).open(&path)?;
     let mut executed = 0usize;
     let mut aborted = false;
@@ -496,7 +459,7 @@ pub fn run_shard_hooked(
             v.sort_unstable();
             v
         };
-        let mut allocs: Vec<Option<Allocation>> = match hooks.allocs {
+        let mut allocs: Vec<Option<Allocation>> = match alloc_source {
             Some(src) => needed
                 .iter()
                 .map(|&n| src.lookup(cluster_name, n))
@@ -505,12 +468,12 @@ pub fn run_shard_hooked(
         };
         let misses: Vec<usize> = (0..needed.len()).filter(|&i| allocs[i].is_none()).collect();
         let miss_refs: Vec<&Scenario> = misses.iter().map(|&i| &scenarios[needed[i]]).collect();
-        let computed = parallel_map_pooled(hooks.pool, &miss_refs, threads, |_, s| {
+        let computed = parallel_map(&miss_refs, threads, |_, s| {
             let _span = rats_telemetry::span(&rats_sched::telemetry::ALLOC_SECONDS);
             allocate(&s.dag, &platform, AllocParams::default())
         });
         for (&i, alloc) in misses.iter().zip(computed) {
-            if let Some(src) = hooks.allocs {
+            if let Some(src) = alloc_source {
                 src.publish(cluster_name, needed[i], &alloc);
             }
             allocs[i] = Some(alloc);
@@ -534,7 +497,7 @@ pub fn run_shard_hooked(
                 break 'clusters;
             }
             let chunk_started = std::time::Instant::now();
-            let results = parallel_map_pooled(hooks.pool, chunk, threads, |_, &job| {
+            let results = parallel_map(chunk, threads, |_, &job| {
                 let c = grid.coords(job);
                 prepared[&c.scenario].evaluate(&platform, strategies[c.strategy])
             });
@@ -549,7 +512,7 @@ pub fn run_shard_hooked(
                 );
                 writeln!(file, "{}", record.to_jsonl())?;
                 executed += 1;
-                if let Some(cb) = hooks.on_record.as_deref_mut() {
+                if let Some(cb) = on_record.as_deref_mut() {
                     cb(&record);
                 }
             }

@@ -5,7 +5,7 @@
 
 use rats_telemetry::{Counter, Histogram, Metric, TIME_BUCKETS};
 
-/// Whole shard-job wall time ([`run_shard_hooked`](crate::shard)), one
+/// Whole shard-job wall time ([`run_shard`](crate::shard::run_shard)), one
 /// observation per invocation.
 pub static JOB_SECONDS: Histogram = Histogram::new(
     "rats_shard_job_seconds",

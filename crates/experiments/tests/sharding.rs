@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use rats_experiments::grid::ShardSpec;
-use rats_experiments::shard::{merge_shards, read_shard_file, run_shard, MergeError};
+use rats_experiments::shard::{merge_shards, read_shard_file, run_shard, MergeError, ShardOptions};
 use rats_experiments::spec::{ExperimentSpec, SpecOutcome, SuiteSpec};
 use rats_experiments::tuning;
 
@@ -30,7 +30,7 @@ fn run_all_shards(spec: &ExperimentSpec, n: usize, dir: &Path) -> Vec<PathBuf> {
         .map(|i| {
             let mut shard_spec = spec.clone();
             shard_spec.shard = Some(ShardSpec::new(i, n));
-            let run = run_shard(&shard_spec, dir, None).unwrap();
+            let run = run_shard(&shard_spec, dir, ShardOptions::default()).unwrap();
             assert_eq!(run.executed + run.skipped, run.total);
             run.path
         })
@@ -209,7 +209,7 @@ fn resume_after_partial_shard_and_truncated_tail() {
     // re-executes.
     let mut shard0 = spec.clone();
     shard0.shard = Some(ShardSpec::new(0, 2));
-    let resumed = run_shard(&shard0, &dir, None).unwrap();
+    let resumed = run_shard(&shard0, &dir, ShardOptions::default()).unwrap();
     assert_eq!(resumed.skipped, 3);
     assert_eq!(resumed.executed, resumed.total - 3);
 
@@ -242,7 +242,7 @@ fn unterminated_final_record_is_not_glued_onto_by_resume() {
 
     let mut shard0 = spec.clone();
     shard0.shard = Some(ShardSpec::new(0, 2));
-    let resumed = run_shard(&shard0, &dir, None).unwrap();
+    let resumed = run_shard(&shard0, &dir, ShardOptions::default()).unwrap();
     assert_eq!(resumed.skipped, 3);
 
     // Every line of the repaired file parses — nothing got glued.
@@ -270,7 +270,7 @@ fn crash_before_manifest_commit_recovers() {
     for wreck in ["", "{\"kind\":\"mani"] {
         let path = dir.join("premanifest-shard-0-of-2.jsonl");
         fs::write(&path, wreck).unwrap();
-        let run = run_shard(&shard0, &dir, None).unwrap();
+        let run = run_shard(&shard0, &dir, ShardOptions::default()).unwrap();
         assert_eq!(run.skipped, 0);
         assert_eq!(run.executed, run.total);
         assert!(read_shard_file(&path).is_ok());
@@ -278,7 +278,7 @@ fn crash_before_manifest_commit_recovers() {
 
     let mut shard1 = spec.clone();
     shard1.shard = Some(ShardSpec::new(1, 2));
-    let s1 = run_shard(&shard1, &dir, None).unwrap();
+    let s1 = run_shard(&shard1, &dir, ShardOptions::default()).unwrap();
     let s0 = dir.join("premanifest-shard-0-of-2.jsonl");
     let merged = merge_shards(&[s0, s1.path]).unwrap();
     assert_outcomes_bit_identical(&merged, &reference);
@@ -293,7 +293,7 @@ fn rerunning_a_complete_shard_is_a_no_op() {
     let before = fs::read_to_string(&files[1]).unwrap();
     let mut shard1 = spec.clone();
     shard1.shard = Some(ShardSpec::new(1, 2));
-    let rerun = run_shard(&shard1, &dir, None).unwrap();
+    let rerun = run_shard(&shard1, &dir, ShardOptions::default()).unwrap();
     assert_eq!(rerun.executed, 0);
     assert_eq!(rerun.skipped, rerun.total);
     assert_eq!(fs::read_to_string(&files[1]).unwrap(), before);
@@ -322,7 +322,7 @@ fn mixed_seed_shards_are_rejected() {
     // different seed.
     let mut reseeded = mini_spec("seeds", 303);
     reseeded.shard = Some(ShardSpec::new(0, 2));
-    assert!(run_shard(&reseeded, &dir, None).is_err());
+    assert!(run_shard(&reseeded, &dir, ShardOptions::default()).is_err());
     fs::remove_dir_all(&dir).unwrap();
     fs::remove_dir_all(&dir_b).unwrap();
 }
@@ -333,7 +333,7 @@ fn merge_reports_holes() {
     let dir = temp_dir("holes");
     let mut with_shard = spec.clone();
     with_shard.shard = Some(ShardSpec::new(0, 3));
-    let run = run_shard(&with_shard, &dir, None).unwrap();
+    let run = run_shard(&with_shard, &dir, ShardOptions::default()).unwrap();
     match merge_shards(&[run.path]) {
         Err(MergeError::MissingJobs { missing, total, .. }) => {
             assert_eq!(total, spec.grid().len());
@@ -381,12 +381,11 @@ fn sharded_tuning_sweep_matches_in_process_tables_bit_for_bit() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Cooperative cancellation through [`ShardHooks::cancel`]: a set flag
+/// Cooperative cancellation through [`ShardOptions::cancel`]: a set flag
 /// aborts before any work, a flag set mid-run leaves a resumable file, and
 /// the resumed campaign merges bit-identical to the uncancelled one.
 #[test]
 fn cancelled_shard_aborts_resumably() {
-    use rats_experiments::shard::{run_shard_hooked, ShardHooks};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     // Two clusters: the cancel flag is observed between write chunks and
@@ -399,13 +398,11 @@ fn cancelled_shard_aborts_resumably() {
 
     // Pre-set flag: nothing executes, the run reports aborted.
     let cancel = AtomicBool::new(true);
-    let run = run_shard_hooked(
+    let run = run_shard(
         &spec,
         &dir,
-        Some(2),
-        None,
-        None,
-        ShardHooks {
+        ShardOptions {
+            threads: Some(2),
             cancel: Some(&cancel),
             ..Default::default()
         },
@@ -422,13 +419,11 @@ fn cancelled_shard_aborts_resumably() {
         seen += 1;
         cancel.store(true, Ordering::SeqCst);
     };
-    let run = run_shard_hooked(
+    let run = run_shard(
         &spec,
         &dir,
-        Some(2),
-        None,
-        None,
-        ShardHooks {
+        ShardOptions {
+            threads: Some(2),
             on_record: Some(&mut on_record),
             cancel: Some(&cancel),
             ..Default::default()
@@ -441,13 +436,11 @@ fn cancelled_shard_aborts_resumably() {
 
     // Resume with the flag cleared: the rest executes, nothing re-runs.
     cancel.store(false, Ordering::SeqCst);
-    let resumed = run_shard_hooked(
+    let resumed = run_shard(
         &spec,
         &dir,
-        Some(2),
-        None,
-        None,
-        ShardHooks {
+        ShardOptions {
+            threads: Some(2),
             cancel: Some(&cancel),
             ..Default::default()
         },

@@ -45,6 +45,8 @@
 //! degrades the journal (with a one-line warning) but never fails the
 //! campaign. The journal is provenance, not a dependency.
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod event;
 pub mod reader;

@@ -21,6 +21,8 @@
 //! **flop**; processing speed is expressed in **GFlop/s** as in the paper's
 //! Table II.
 
+#![forbid(unsafe_code)]
+
 mod amdahl;
 mod cost;
 mod params;

@@ -31,6 +31,8 @@
 //! rank order is what a 1-D block distribution maps data blocks onto, so it
 //! is semantically meaningful and preserved by all operations.
 
+#![forbid(unsafe_code)]
+
 mod memo;
 mod procset;
 mod route;

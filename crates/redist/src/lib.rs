@@ -31,6 +31,8 @@
 //!   engine calls per (task, candidate-set) evaluation; a property test
 //!   pins the exact equality of the two paths.
 
+#![forbid(unsafe_code)]
+
 mod align;
 mod block;
 mod estimate;

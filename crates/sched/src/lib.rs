@@ -69,6 +69,8 @@
 //! # Ok::<(), rats_sched::StrategyError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod allocation;
 mod mapping;
 #[cfg(test)]

@@ -60,16 +60,16 @@
 //!         [--warm-populations N] [--warm-allocs N]
 //!         [--metrics-addr HOST:PORT]
 //!     run the long-lived scheduling service: accept campaign submissions
-//!     over a line-delimited JSON TCP protocol, execute them on a resident
-//!     worker fleet with warm (content-keyed, LRU-bounded) scenario
-//!     populations and step-one allocations, and stream records back to
-//!     each submitting client as they land. Every submission materializes
-//!     a normal campaign root under DIR — resumable, journaled, and
-//!     bit-identical to the batch run. Port 0 picks a free port; the
-//!     bound address is printed on stdout when ready. --metrics-addr
-//!     additionally serves Prometheus text exposition on
-//!     `GET /metrics` (phase histograms, cache hit rates, warm-state
-//!     residency gauges).
+//!     over a line-delimited JSON TCP protocol, execute each on --fleet N
+//!     compute threads of its own (as `run --threads N` does; default 4)
+//!     with warm (content-keyed, LRU-bounded) scenario populations and
+//!     step-one allocations, and stream records back to each submitting
+//!     client as they land. Every submission materializes a normal
+//!     campaign root under DIR — resumable, journaled, and bit-identical
+//!     to the batch run. Port 0 picks a free port; the bound address is
+//!     printed on stdout when ready. --metrics-addr additionally serves
+//!     Prometheus text exposition on `GET /metrics` (phase histograms,
+//!     cache hit rates, warm-state residency gauges).
 //!
 //! campaign client submit <spec> [--addr A] [--name N] [--records FILE]
 //! campaign client status [CAMPAIGN] [--addr A] [--stale-ms MS]
@@ -104,12 +104,14 @@
 //! Unknown subcommands, flags and stray arguments all exit 2 with the
 //! usage text; operational failures exit 1.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 
 use rats_dispatch::worker::{run_worker, ChaosPhase, WorkerConfig};
 use rats_dispatch::{dispatch, replay_check, DispatchConfig, HostInventory};
 use rats_experiments::grid::ShardSpec;
-use rats_experiments::shard::{merge_shards, run_shard};
+use rats_experiments::shard::{merge_shards, run_shard, ShardOptions};
 use rats_experiments::spec::{ExperimentSpec, SuiteSpec};
 use rats_journal::{diff as journal_diff, read_journal, JobView as JournalJobView, Replay};
 use rats_server::{Client, Server, ServerConfig, SpecFormat, SubmitEnd};
@@ -305,7 +307,11 @@ fn cmd_run(args: &[String]) {
     if metrics_out.is_some() {
         metrics_begin();
     }
-    let run = run_shard(&spec, &out, threads).unwrap_or_else(|e| fail(e));
+    let opts = ShardOptions {
+        threads,
+        ..ShardOptions::default()
+    };
+    let run = run_shard(&spec, &out, opts).unwrap_or_else(|e| fail(e));
     eprintln!(
         "campaign: shard {} — {} jobs executed, {} resumed from disk, {} total → {:?}",
         spec.shard.unwrap_or_default(),

@@ -3,13 +3,13 @@
 //! The batch pipeline (`rats-dispatch`) pays its fixed costs on every
 //! invocation: regenerate the scenario population, recompute every
 //! step-one allocation, spawn worker processes, tear everything down.
-//! This crate keeps those costs *resident*: a `campaign serve` process
-//! holds a [`Fleet`] of worker threads and a [`WarmState`] of
-//! content-keyed caches, accepts campaign submissions over a
-//! line-delimited JSON TCP protocol ([`protocol`]), streams each
+//! This crate keeps the population and allocation costs *resident*: a
+//! `campaign serve` process holds a [`WarmState`] of content-keyed caches,
+//! accepts campaign submissions over a line-delimited JSON TCP protocol
+//! ([`protocol`]), runs each one through the batch shard executor
+//! ([`run_shard`]) on scoped compute threads of its own, and streams each
 //! [`RunRecord`](rats_experiments::RunRecord) back to the submitting
-//! client as it lands, and multiplexes any number of concurrent campaigns
-//! over the one fleet.
+//! client as it lands. Concurrent campaigns run side by side.
 //!
 //! The durable substrate is unchanged: every submission materializes a
 //! normal campaign root (spec.json, scenarios.cache, filesystem queue,
@@ -19,7 +19,6 @@
 //!
 //! Module map:
 //!
-//! * [`fleet`] — the resident thread pool ([`ParallelExec`] impl).
 //! * [`warm`] — LRU-bounded population + allocation caches with
 //!   hit/miss/eviction counters.
 //! * [`protocol`] — the wire messages and line framing.
@@ -30,10 +29,11 @@
 //! * [`metrics_http`] — the minimal `GET /metrics` listener for
 //!   Prometheus-compatible scrapers.
 //!
-//! [`ParallelExec`]: rats_experiments::ParallelExec
+//! [`run_shard`]: rats_experiments::shard::run_shard
+
+#![forbid(unsafe_code)]
 
 pub mod client;
-pub mod fleet;
 pub mod metrics_http;
 pub mod protocol;
 pub mod server;
@@ -41,7 +41,6 @@ pub mod telemetry;
 pub mod warm;
 
 pub use client::{Client, SubmitEnd};
-pub use fleet::Fleet;
 pub use protocol::{Request, Response, SpecFormat, DEFAULT_ADDR};
 pub use server::{Server, ServerConfig};
 pub use warm::{WarmState, WarmStats};

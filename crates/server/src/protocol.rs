@@ -340,22 +340,46 @@ pub fn write_line<T: Serialize>(w: &mut impl Write, message: &T) -> std::io::Res
     w.flush()
 }
 
-/// Reads one JSON line into a message. `Ok(None)` on clean EOF;
-/// a parse failure is an `InvalidData` error carrying the parser message.
+/// Longest message line [`read_line`] accepts, in bytes (newline
+/// excluded). Far above any real message — an inline spec or a merged
+/// report is kilobytes — so hitting it means a hostile or broken peer.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
+/// Reads one JSON line into a message, skipping blank lines. `Ok(None)` on
+/// clean EOF; a parse failure is an `InvalidData` error carrying the
+/// parser message (the stream stays in sync — the bad line was consumed);
+/// a line longer than [`MAX_LINE_BYTES`] is an `InvalidInput` error after
+/// which the stream is out of sync and must be dropped.
 pub fn read_line<T: Deserialize>(r: &mut impl BufRead) -> std::io::Result<Option<T>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Ok(None);
+    use std::io::{Error, ErrorKind, Read as _};
+    let mut line = Vec::new();
+    let mut blank = false;
+    loop {
+        line.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if r.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
+            if blank {
+                return Err(Error::new(ErrorKind::UnexpectedEof, "blank line then EOF"));
+            }
+            return Ok(None);
+        }
+        if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            return Err(Error::new(
+                ErrorKind::InvalidInput,
+                format!("line exceeds {MAX_LINE_BYTES} bytes"),
+            ));
+        }
+        let text = std::str::from_utf8(&line)
+            .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?
+            .trim();
+        if text.is_empty() {
+            blank = true;
+            continue;
+        }
+        return serde_json::from_str(text)
+            .map(Some)
+            .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()));
     }
-    let trimmed = line.trim();
-    if trimmed.is_empty() {
-        return Ok(Some(read_line(r)?.ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "blank line then EOF")
-        })?));
-    }
-    serde_json::from_str(trimmed)
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 #[cfg(test)]
@@ -490,5 +514,35 @@ mod tests {
             })
         );
         assert_eq!(read_line::<Request>(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_without_recursion() {
+        // A million blank lines used to cost one stack frame each; on a
+        // 64 KiB stack that overflows long before the request arrives.
+        let mut input = vec![b'\n'; 1_000_000];
+        write_line(&mut input, &Request::Shutdown).unwrap();
+        let read = std::thread::Builder::new()
+            .stack_size(64 << 10)
+            .spawn(move || read_line::<Request>(&mut &input[..]).unwrap())
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(read, Some(Request::Shutdown));
+        let err = read_line::<Request>(&mut &b"\n\n"[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn over_long_lines_are_refused() {
+        let mut input = vec![b' '; MAX_LINE_BYTES];
+        input.push(b'\n');
+        // Exactly at the bound (all blank) is fine and reaches EOF.
+        let err = read_line::<Request>(&mut &input[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        // One byte over is refused before the newline is seen.
+        input.insert(0, b' ');
+        let err = read_line::<Request>(&mut &input[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 }

@@ -1,21 +1,22 @@
 //! The resident scheduling service: accept submissions over TCP, execute
-//! them on the warm fleet, stream results back as they land.
+//! them against warm state, stream results back as they land.
 //!
-//! One [`Server`] owns one [`Fleet`](crate::fleet::Fleet) and one
-//! [`WarmState`](crate::warm::WarmState); every connection gets a thread,
-//! and any number of campaigns multiplex over the shared fleet. The
-//! filesystem queue + journal stay the durable substrate — each submission
-//! materializes a normal campaign root under the server's `out` directory
-//! (spec.json, scenarios.cache, queue/, shards/, journal/), so everything
-//! the batch tooling understands (`campaign status`, `campaign replay`,
-//! `campaign merge`) works on a served campaign, and a server crash loses
-//! no committed work: resubmitting the same spec resumes from disk.
+//! One [`Server`] owns one [`WarmState`]; every connection gets a thread,
+//! and each submission runs its shard with [`run_shard`] on `fleet`
+//! compute threads of its own (scoped threads, or the connection's thread
+//! when `fleet` is 1), so any number of campaigns run side by side. The filesystem queue + journal stay the durable
+//! substrate — each submission materializes a normal campaign root under
+//! the server's `out` directory (spec.json, scenarios.cache, queue/,
+//! shards/, journal/), so everything the batch tooling understands
+//! (`campaign status`, `campaign replay`, `campaign merge`) works on a
+//! served campaign, and a server crash loses no committed work:
+//! resubmitting the same spec resumes from disk.
 //!
 //! Determinism contract: the merged outcome of a served campaign is
 //! **bit-identical** to batch [`ExperimentSpec::run`] — warm populations
-//! and warm allocations are pure-function caches, the fleet preserves
-//! `parallel_map` semantics, and the wire protocol ships raw record lines.
-//! The serve/batch equivalence tests pin this.
+//! and warm allocations are pure-function caches, the executor is the
+//! batch path's own `run_shard`, and the wire protocol ships raw record
+//! lines. The serve/batch equivalence tests pin this.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -32,12 +33,11 @@ use rats_dispatch::status::campaign_status;
 use rats_dispatch::worker::{SHARDS_DIR, SPEC_FILE};
 use rats_dispatch::CACHE_FILE;
 use rats_experiments::record::RunRecord;
-use rats_experiments::shard::{merge_shards, read_shard_file, run_shard_hooked, ShardHooks};
+use rats_experiments::shard::{merge_shards, read_shard_file, run_shard, ShardOptions};
 use rats_experiments::spec::ExperimentSpec;
 use rats_journal::{Event, Journal};
 use serde::{Serialize, Value};
 
-use crate::fleet::Fleet;
 use crate::protocol::{read_line, write_line, Request, Response, SpecFormat};
 use crate::warm::{WarmState, WarmStats};
 
@@ -46,7 +46,8 @@ use crate::warm::{WarmState, WarmStats};
 pub struct ServerConfig {
     /// Output directory: campaign roots are materialized under it.
     pub out: PathBuf,
-    /// Resident fleet width (0 = one thread).
+    /// Compute threads per submission (0 = one thread): the `threads` each
+    /// submission's [`run_shard`] gets, as `campaign run --threads` does.
     pub fleet: usize,
     /// LRU bound on resident scenario populations.
     pub warm_populations: usize,
@@ -58,8 +59,8 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: a 4-thread fleet, 8 resident populations, 4096 resident
-    /// allocations.
+    /// Defaults: 4 compute threads per submission, 8 resident populations,
+    /// 4096 resident allocations.
     pub fn new(out: impl Into<PathBuf>) -> Self {
         Self {
             out: out.into(),
@@ -89,7 +90,6 @@ struct CampaignHandle {
 struct ServerState {
     cfg: ServerConfig,
     addr: SocketAddr,
-    fleet: Fleet,
     warm: WarmState,
     campaigns: Mutex<BTreeMap<String, Arc<CampaignHandle>>>,
     shutdown: AtomicBool,
@@ -115,7 +115,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(ServerState {
-            fleet: Fleet::new(cfg.fleet),
             warm: WarmState::new(cfg.warm_populations, cfg.warm_allocs),
             cfg,
             addr,
@@ -180,7 +179,8 @@ impl Server {
 }
 
 /// One connection: a loop of requests. A malformed line gets an `error`
-/// response and the connection stays usable; EOF or `shutdown` ends it.
+/// response and the connection stays usable; an over-long line gets an
+/// `error` response and ends it, as do EOF and `shutdown`.
 fn handle_conn(state: &Arc<ServerState>, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -199,6 +199,10 @@ fn handle_conn(state: &Arc<ServerState>, stream: TcpStream) {
                     return;
                 }
                 continue;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+                let _ = fail(&mut w, format!("request refused: {e}"));
+                return;
             }
             Err(_) => return,
         };
@@ -308,7 +312,7 @@ fn server_status(state: &ServerState) -> Value {
         .collect();
     let mut t = Value::table();
     t.insert("kind", "server-status")
-        .insert("fleet", &state.fleet.width())
+        .insert("fleet", &state.cfg.fleet.max(1))
         .insert("submissions", &state.submissions.load(Ordering::SeqCst))
         .insert("warm", &state.warm.stats())
         .insert("campaigns", &Value::Array(list));
@@ -324,7 +328,7 @@ fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
 }
 
 /// The whole submit flow: materialize the campaign root, execute (or
-/// resume) on the warm fleet while streaming records, merge, report.
+/// resume) against warm state while streaming records, merge, report.
 fn handle_submit(
     state: &Arc<ServerState>,
     client: &str,
@@ -476,16 +480,15 @@ fn handle_submit(
                         *count += 1;
                     }
                 };
-                run_shard_hooked(
+                run_shard(
                     &spec,
                     &shard_dir,
-                    Some(state.fleet.width()),
-                    Some(&population),
-                    Some(&mut journal),
-                    ShardHooks {
+                    ShardOptions {
+                        threads: Some(state.cfg.fleet.max(1)),
+                        scenarios: Some(&population),
+                        journal: Some(&mut journal),
                         on_record: Some(&mut on_record),
                         allocs: Some(&warm_allocs),
-                        pool: Some(&state.fleet),
                         cancel: Some(&handle.cancel),
                     },
                 )

@@ -226,8 +226,7 @@ impl WarmState {
 }
 
 /// [`WarmState`]'s allocation cache, bound to one population — the form
-/// [`run_shard_hooked`](rats_experiments::shard::run_shard_hooked)
-/// consumes through the [`AllocSource`] trait.
+/// [`run_shard`](rats_experiments::shard::run_shard) consumes through the [`AllocSource`] trait.
 pub struct WarmAllocs<'a> {
     warm: &'a WarmState,
     population: String,

@@ -25,6 +25,8 @@
 //! * the simulation ends when every task finished: the makespan is the
 //!   latest finish time.
 
+#![forbid(unsafe_code)]
+
 mod executor;
 mod outcome;
 

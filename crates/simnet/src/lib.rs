@@ -20,6 +20,8 @@
 //!   latency phase, then transfer at their fair rate; the embedding
 //!   simulation (e.g. `rats-sim`) advances it to each next event time.
 
+#![forbid(unsafe_code)]
+
 pub mod maxmin;
 
 mod engine;

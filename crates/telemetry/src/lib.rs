@@ -58,6 +58,8 @@
 //! Observability section are stable; anything else may change between
 //! versions.
 
+#![forbid(unsafe_code)]
+
 mod encode;
 mod metric;
 mod registry;

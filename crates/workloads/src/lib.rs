@@ -26,6 +26,8 @@
 //! an experiment spec; see the README's "Custom workloads" section for a
 //! worked campaign document.
 
+#![forbid(unsafe_code)]
+
 mod dist;
 mod family;
 mod topology;

@@ -67,6 +67,8 @@
 //! through the [`MappingStrategy`](sched::MappingStrategy) enum, which is
 //! plain data — handy for sweeps and serialized experiment specs.
 
+#![forbid(unsafe_code)]
+
 pub use rats_dag as dag;
 pub use rats_daggen as daggen;
 pub use rats_dispatch as dispatch;
