@@ -146,7 +146,7 @@ fn time_mapping<F: Fn() -> rats_sched::Schedule>(reps: usize, run: F) -> f64 {
 
 struct Measurement {
     case: String,
-    policy: &'static str,
+    policy: String,
     tasks: usize,
     edges: usize,
     /// `None` when the case is above [`REFERENCE_CEILING`].
@@ -218,7 +218,7 @@ fn measure(
         });
         let m = Measurement {
             case: case.name.clone(),
-            policy: strategy.name(),
+            policy: strategy.name().to_string(),
             tasks: n,
             edges: case.dag.num_edges(),
             reference_s,

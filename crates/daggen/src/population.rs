@@ -10,7 +10,7 @@
 //! regenerating.
 //!
 //! The format is line-oriented text built on the task-graph format of
-//! [`rats_dag::serialize`]:
+//! [`rats_dag::to_text`] / [`rats_dag::from_text`]:
 //!
 //! ```text
 //! # rats scenario population

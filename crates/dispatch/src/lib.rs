@@ -30,11 +30,13 @@
 //!   local `campaign worker` processes, watches heartbeats, reclaims and
 //!   re-dispatches shards from dead or straggling workers, and finishes
 //!   with the validated merge — the dispatched result is **bit-identical**
-//!   to the in-process [`ExperimentSpec::run`] outcome.
-//! * [`replay_check`] — the journal invariant checker: replays the
-//!   campaign's hash-chained event journal (`rats_journal`) and verifies
-//!   the reconstructed per-job state matches the live queue directory
-//!   (the `campaign replay --check` subcommand).
+//!   to the in-process
+//!   [`ExperimentSpec::run`](rats_experiments::spec::ExperimentSpec::run)
+//!   outcome.
+//! * [`replay_check`](mod@replay_check) — the journal invariant checker:
+//!   replays the campaign's hash-chained event journal (`rats_journal`)
+//!   and verifies the reconstructed per-job state matches the live queue
+//!   directory (the `campaign replay --check` subcommand).
 //!
 //! The `campaign` binary (this crate) fronts the whole engine:
 //!

@@ -37,7 +37,7 @@ use std::fmt;
 use rats_daggen::suite::{self, Scenario};
 use rats_model::CostParams;
 use rats_platform::{ClusterSpec, Platform};
-use rats_sched::{MappingStrategy, StrategyError};
+use rats_sched::{CombinedParams, DeltaParams, MappingStrategy, StrategyError, TimeCostParams};
 use rats_workloads::WorkloadSpec;
 use serde::{Deserialize, Serialize, Value};
 
@@ -163,17 +163,19 @@ impl StrategySpec {
         match *self {
             StrategySpec::Hcpa => Ok(MappingStrategy::Hcpa),
             StrategySpec::Delta { mindelta, maxdelta } => {
-                MappingStrategy::try_rats_delta(mindelta, maxdelta)
+                DeltaParams::new(mindelta, maxdelta).map(MappingStrategy::RatsDelta)
             }
             StrategySpec::TimeCost {
                 minrho,
                 allow_packing,
-            } => MappingStrategy::try_rats_time_cost(minrho, allow_packing),
+            } => TimeCostParams::new(minrho, allow_packing).map(MappingStrategy::RatsTimeCost),
             StrategySpec::Combined {
                 mindelta,
                 maxdelta,
                 minrho,
-            } => MappingStrategy::try_rats_combined(mindelta, maxdelta, minrho),
+            } => DeltaParams::new(mindelta, maxdelta)
+                .and_then(|delta| CombinedParams::new(delta, minrho))
+                .map(MappingStrategy::RatsCombined),
         }
     }
 
@@ -635,6 +637,32 @@ mod tests {
         ] {
             let spec = StrategySpec::from_strategy(s);
             assert_eq!(spec.to_strategy().unwrap(), s);
+        }
+        for (spec, err) in [
+            (
+                StrategySpec::Delta {
+                    mindelta: 1.5,
+                    maxdelta: 0.5,
+                },
+                StrategyError::Mindelta(1.5),
+            ),
+            (
+                StrategySpec::TimeCost {
+                    minrho: 2.0,
+                    allow_packing: true,
+                },
+                StrategyError::Minrho(2.0),
+            ),
+            (
+                StrategySpec::Combined {
+                    mindelta: 0.5,
+                    maxdelta: 1.0,
+                    minrho: 0.0,
+                },
+                StrategyError::Minrho(0.0),
+            ),
+        ] {
+            assert_eq!(spec.to_strategy(), Err(err));
         }
     }
 

@@ -2,7 +2,8 @@
 //!
 //! Tuning sweeps are ordinary campaigns: each grid point is a
 //! [`MappingStrategy`] value, the points are evaluated by the same executor
-//! as the headline comparison ([`evaluate_strategies`]) — and therefore by
+//! as the headline comparison
+//! ([`evaluate_strategies`](crate::evaluate_strategies)) — and therefore by
 //! the same sharded job grid — and the figures/tables are pure assemblies
 //! over the per-strategy results ([`sweep_tables`]). In-process and
 //! merged-from-shards paths share the assembly code, so they agree bit for
@@ -111,7 +112,7 @@ pub fn hcpa_baseline(
 }
 
 /// The distinct step-one allocation sizes occurring anywhere in a prepared
-/// scenario set, ascending. [`DeltaPolicy`](rats_sched::DeltaPolicy) only
+/// scenario set, ascending. [`DeltaParams`](rats_sched::DeltaParams) only
 /// ever indexes its structural bounds at these sizes, so they are the whole
 /// domain a delta grid point's behaviour is sampled on.
 fn distinct_alloc_sizes(prepared: &[PreparedScenario]) -> Vec<u32> {

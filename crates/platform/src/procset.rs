@@ -20,8 +20,8 @@ const INLINE_CAP: usize = 12;
 ///
 /// # Storage
 ///
-/// Sets of up to [`INLINE_CAP`] processors are stored inline — cloning them
-/// (which the mapping policies do once per candidate evaluation) never
+/// Sets of up to `INLINE_CAP` (12) processors are stored inline — cloning
+/// them (which the mapping policies do once per candidate evaluation) never
 /// touches the heap. Larger sets spill to a `Vec`.
 ///
 /// Construction precomputes two derived values used pervasively by the
@@ -189,8 +189,8 @@ impl ProcSet {
     }
 
     /// Creates a set from an ordered processor slice without consuming a
-    /// `Vec` — for sets up to [`INLINE_CAP`] members this performs **no heap
-    /// allocation**, which is what keeps the mapping engine's candidate
+    /// `Vec` — for sets up to `INLINE_CAP` (12) members this performs **no
+    /// heap allocation**, which is what keeps the mapping engine's candidate
     /// construction allocation-free in steady state.
     pub fn from_slice(procs: &[u32]) -> Self {
         let set = Self::build(Members::from_slice(procs));

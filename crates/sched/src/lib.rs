@@ -22,16 +22,17 @@
 //! every policy is an implementation of the object-safe [`MappingPolicy`]
 //! trait, fed a read-only [`MapView`] of the in-progress mapping. Four
 //! implementations ship with the crate — [`Hcpa`] (the non-adopting
-//! baseline), [`DeltaPolicy`], [`TimeCostPolicy`] and [`CombinedPolicy`] —
-//! and external crates can define their own (see the example in
-//! [`policy`]). The closed [`MappingStrategy`] enum remains as a `Copy`
-//! constructor layer for sweeps and serialized experiment specs; it
-//! delegates to the trait impls, so both forms produce byte-identical
-//! schedules.
+//! baseline) and the parameter types [`DeltaParams`], [`TimeCostParams`]
+//! and [`CombinedParams`], each of which is its policy — and external
+//! crates can define their own (see the example in [`policy`]). The closed
+//! [`MappingStrategy`] enum names the shipped policies as one `Copy` value
+//! for sweeps and tables; its single conversion to a policy object,
+//! `From<MappingStrategy> for Box<dyn MappingPolicy>`, hands over the
+//! variant's parameters, so both forms run the same code.
 //!
 //! Invalid parameters are reported through [`StrategyError`] by the
 //! `Result` constructors ([`DeltaParams::new`], [`TimeCostParams::new`],
-//! [`CombinedParams::new`], and the policies' `new` functions).
+//! [`CombinedParams::new`]).
 //!
 //! ## The incremental engine
 //!
@@ -57,12 +58,12 @@
 //! use rats_daggen::fft_dag;
 //! use rats_model::CostParams;
 //! use rats_platform::{ClusterSpec, Platform};
-//! use rats_sched::{Scheduler, TimeCostPolicy};
+//! use rats_sched::{Scheduler, TimeCostParams};
 //!
 //! let platform = Platform::from_spec(&ClusterSpec::grillon());
 //! let dag = fft_dag(8, &CostParams::paper(), 42);
 //! let schedule = Scheduler::new(&platform)
-//!     .policy(TimeCostPolicy::new(0.5, true)?)
+//!     .policy(TimeCostParams::new(0.5, true)?)
 //!     .schedule(&dag);
 //! assert!(schedule.makespan_estimate() > 0.0);
 //! schedule.validate(&dag, &platform).unwrap();
@@ -84,10 +85,7 @@ pub mod telemetry;
 
 pub use allocation::{allocate, AllocParams, Allocation, AreaPolicy};
 pub use mapping::Scheduler;
-pub use policy::{
-    CombinedPolicy, DeltaPolicy, Hcpa, MapView, MappingDecision, MappingPolicy, Placement,
-    TimeCostPolicy,
-};
+pub use policy::{Hcpa, MapView, MappingDecision, MappingPolicy, Placement};
 pub use schedule::{Schedule, ScheduleEntry, ScheduleError};
 pub use strategy::{
     CandidatePolicy, CombinedParams, DeltaParams, MappingStrategy, SecondarySort, StrategyError,

@@ -74,24 +74,24 @@ pub(crate) const SMALL_DAG_TASKS: usize = 64;
 ///
 /// Built with a platform, an [`AllocParams`] (HCPA by default — the
 /// allocation procedure RATS builds on) and a mapping policy (plain HCPA
-/// mapping by default). The policy is either one of the shipped
-/// [`MappingStrategy`] variants or any external [`MappingPolicy`]
-/// implementation:
+/// mapping by default). The policy is any [`MappingPolicy`]
+/// implementation — a shipped parameter type, a third-party type — or a
+/// [`MappingStrategy`] value, which converts to the policy it names:
 ///
 /// ```
 /// use rats_daggen::fft_dag;
 /// use rats_model::CostParams;
 /// use rats_platform::{ClusterSpec, Platform};
-/// use rats_sched::{MappingStrategy, Scheduler, TimeCostPolicy};
+/// use rats_sched::{MappingStrategy, Scheduler, TimeCostParams};
 ///
 /// let platform = Platform::from_spec(&ClusterSpec::grillon());
 /// let dag = fft_dag(4, &CostParams::tiny(), 42);
-/// // Closed enum and open trait forms of the same policy:
+/// // The enum names the policy the parameter type implements:
 /// let a = Scheduler::new(&platform)
 ///     .strategy(MappingStrategy::rats_time_cost(0.5, true))
 ///     .schedule(&dag);
 /// let b = Scheduler::new(&platform)
-///     .policy(TimeCostPolicy::new(0.5, true).unwrap())
+///     .policy(TimeCostParams::new(0.5, true).unwrap())
 ///     .schedule(&dag);
 /// assert_eq!(a.makespan_estimate(), b.makespan_estimate());
 /// ```
@@ -145,8 +145,8 @@ impl<'p> Scheduler<'p> {
     }
 
     /// Selects the mapping policy. Accepts any [`MappingPolicy`]
-    /// implementation — the shipped ones, a [`MappingStrategy`] value, or a
-    /// third-party type (by value or already boxed).
+    /// implementation — the shipped ones or a third-party type, by value or
+    /// already boxed — or a [`MappingStrategy`] value.
     pub fn policy(mut self, policy: impl Into<Box<dyn MappingPolicy>>) -> Self {
         self.policy = Arc::from(policy.into());
         self
@@ -419,8 +419,11 @@ pub(crate) struct Mapper<'a> {
     /// Small-DAG fast path: skip memo/bound machinery entirely.
     small: bool,
     /// Single-estimate policy ([`MappingPolicy::repeats_estimates`] is
-    /// `false`): every task is estimated once, so cached bounds cannot
-    /// amortize — estimates run as one fused pass over the predecessors.
+    /// `false`) under earliest-k candidates: every task is estimated once,
+    /// so cached bounds cannot amortize — estimates run as one fused pass
+    /// over the predecessors. Parent-aware candidates estimate several sets
+    /// per task and prune them through the cached bounds, so they keep the
+    /// bound machinery.
     single: bool,
     /// `data_ready` memoization on (see
     /// [`MappingPolicy::memoize_data_ready`]).
@@ -461,7 +464,7 @@ impl<'a> Mapper<'a> {
         let bottom = bottom_levels(dag, &times, |_, bytes| bytes / beta);
         let n = dag.num_tasks();
         let small = n < SMALL_DAG_TASKS;
-        let single = !policy.repeats_estimates();
+        let single = !policy.repeats_estimates() && candidates == CandidatePolicy::EarliestK;
         let memo = !small && !single && policy.memoize_data_ready();
         Self {
             dag,
@@ -963,7 +966,7 @@ impl<'a> Mapper<'a> {
     /// The heaviest input edge's predecessor (most data to move) — the
     /// parent worth aligning a fresh candidate set against. Ties on equal
     /// byte counts deterministically go to the predecessor with the
-    /// **lowest** task id, consistent with `DeltaPolicy`'s tie-break
+    /// **lowest** task id, consistent with the delta policy's tie-break
     /// (pinned by the `heaviest_pred_tie_breaks_to_lowest_id` test).
     pub(crate) fn heaviest_pred(&self, t: TaskId) -> Option<TaskId> {
         self.dag

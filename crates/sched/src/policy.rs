@@ -5,9 +5,10 @@
 //! with optional *adoption* of a predecessor's processor set, then
 //! contention simulation — and varies only the policy that decides **when**
 //! to adopt. [`MappingPolicy`] is that variation point. The four paper(-ish)
-//! policies ship as [`Hcpa`], [`DeltaPolicy`], [`TimeCostPolicy`] and
-//! [`CombinedPolicy`]; external crates can plug in their own policy without
-//! touching this crate:
+//! policies ship as [`Hcpa`] and the parameter types [`DeltaParams`],
+//! [`TimeCostParams`] and [`CombinedParams`], each of which *is* its
+//! policy; external crates can plug in their own policy without touching
+//! this crate:
 //!
 //! ```
 //! use rats_sched::{MapView, MappingDecision, MappingPolicy, Scheduler};
@@ -57,7 +58,7 @@ use rats_platform::ProcSet;
 use crate::mapping::Mapper;
 use crate::schedule::ScheduleEntry;
 use crate::strategy::{
-    CombinedParams, DeltaParams, MappingStrategy, SecondarySort, StrategyError, TimeCostParams,
+    CombinedParams, DeltaParams, MappingStrategy, SecondarySort, TimeCostParams,
 };
 
 /// A fully-evaluated placement candidate: a processor set plus the
@@ -280,6 +281,21 @@ impl<P: MappingPolicy + 'static> From<P> for Box<dyn MappingPolicy> {
     }
 }
 
+/// The closed enum's one conversion to a policy: each variant's parameters
+/// are the policy, so [`Scheduler::strategy`](crate::Scheduler::strategy)
+/// and [`Scheduler::policy`](crate::Scheduler::policy) run the same trait
+/// impl, engine hooks included.
+impl From<MappingStrategy> for Box<dyn MappingPolicy> {
+    fn from(strategy: MappingStrategy) -> Self {
+        match strategy {
+            MappingStrategy::Hcpa => Box::new(Hcpa),
+            MappingStrategy::RatsDelta(p) => Box::new(p),
+            MappingStrategy::RatsTimeCost(p) => Box::new(p),
+            MappingStrategy::RatsCombined(p) => Box::new(p),
+        }
+    }
+}
+
 /// The HCPA baseline: allocations untouched, default placement only
 /// (redistribution costs are accounted for in the estimates, but no
 /// redistribution-avoiding alternative is searched — the gap RATS closes).
@@ -305,32 +321,7 @@ impl MappingPolicy for Hcpa {
 /// one needing the smallest modification |δ|; ties go to the heaviest input
 /// edge (the biggest avoided redistribution), then to the lowest
 /// predecessor id.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaPolicy {
-    params: DeltaParams,
-}
-
-impl DeltaPolicy {
-    /// Validated constructor; `mindelta` may be given as the paper's
-    /// negative value or as a magnitude — the sign is dropped.
-    pub fn new(mindelta: f64, maxdelta: f64) -> Result<Self, StrategyError> {
-        Ok(Self {
-            params: DeltaParams::new(mindelta, maxdelta)?,
-        })
-    }
-
-    /// Wraps already-validated parameters.
-    pub fn from_params(params: DeltaParams) -> Self {
-        Self { params }
-    }
-
-    /// The policy's parameters.
-    pub fn params(&self) -> DeltaParams {
-        self.params
-    }
-}
-
-impl MappingPolicy for DeltaPolicy {
+impl MappingPolicy for DeltaParams {
     fn name(&self) -> &str {
         "delta"
     }
@@ -346,9 +337,9 @@ impl MappingPolicy for DeltaPolicy {
         for (pred, e) in view.adoptable_predecessors(task) {
             let np = view.placed_size(pred);
             let feasible = if np >= k {
-                np - k <= self.params.delta_max(k)
+                np - k <= self.delta_max(k)
             } else {
-                k - np <= self.params.delta_min_magnitude(k)
+                k - np <= self.delta_min_magnitude(k)
             };
             if !feasible {
                 continue;
@@ -388,31 +379,7 @@ impl MappingPolicy for DeltaPolicy {
 /// (section III): adopting a busy parent set that *delays* the task would
 /// contradict the strategy's goal (and, empirically, inverts the paper's
 /// time-cost > delta > HCPA ranking).
-#[derive(Debug, Clone, Copy)]
-pub struct TimeCostPolicy {
-    params: TimeCostParams,
-}
-
-impl TimeCostPolicy {
-    /// Validated constructor.
-    pub fn new(minrho: f64, allow_packing: bool) -> Result<Self, StrategyError> {
-        Ok(Self {
-            params: TimeCostParams::new(minrho, allow_packing)?,
-        })
-    }
-
-    /// Wraps already-validated parameters.
-    pub fn from_params(params: TimeCostParams) -> Self {
-        Self { params }
-    }
-
-    /// The policy's parameters.
-    pub fn params(&self) -> TimeCostParams {
-        self.params
-    }
-}
-
-impl MappingPolicy for TimeCostPolicy {
+impl MappingPolicy for TimeCostParams {
     fn name(&self) -> &str {
         "time-cost"
     }
@@ -456,7 +423,7 @@ impl MappingPolicy for TimeCostPolicy {
                     }
                 }
             };
-            if rho < self.params.minrho {
+            if rho < self.minrho {
                 continue;
             }
             let beat = best_stretch.as_ref().map(|(_, b)| b.finish);
@@ -478,7 +445,7 @@ impl MappingPolicy for TimeCostPolicy {
                 };
             }
         }
-        if !self.params.allow_packing || k == 1 {
+        if !self.allow_packing || k == 1 {
             // No predecessor can be placed on fewer than one processor, so
             // single-processor allocations have nothing to pack onto.
             return MappingDecision::Default(Some(default));
@@ -519,32 +486,7 @@ impl MappingPolicy for TimeCostPolicy {
 /// bounds are candidates; the best estimated finish wins, and the adoption
 /// must not regress versus the default mapping. Stretching additionally
 /// honours the `minrho` efficiency threshold.
-#[derive(Debug, Clone, Copy)]
-pub struct CombinedPolicy {
-    params: CombinedParams,
-}
-
-impl CombinedPolicy {
-    /// Validated constructor (`mindelta` sign is dropped, as in
-    /// [`DeltaPolicy::new`]).
-    pub fn new(mindelta: f64, maxdelta: f64, minrho: f64) -> Result<Self, StrategyError> {
-        Ok(Self {
-            params: CombinedParams::new(DeltaParams::new(mindelta, maxdelta)?, minrho)?,
-        })
-    }
-
-    /// Wraps already-validated parameters.
-    pub fn from_params(params: CombinedParams) -> Self {
-        Self { params }
-    }
-
-    /// The policy's parameters.
-    pub fn params(&self) -> CombinedParams {
-        self.params
-    }
-}
-
-impl MappingPolicy for CombinedPolicy {
+impl MappingPolicy for CombinedParams {
     fn name(&self) -> &str {
         "combined"
     }
@@ -574,9 +516,9 @@ impl MappingPolicy for CombinedPolicy {
                         }
                     }
                 };
-                np - k <= self.params.delta.delta_max(k) && rho >= self.params.minrho
+                np - k <= self.delta.delta_max(k) && rho >= self.minrho
             } else {
-                k - np <= self.params.delta.delta_min_magnitude(k)
+                k - np <= self.delta.delta_min_magnitude(k)
             };
             if !feasible {
                 continue;
@@ -600,29 +542,6 @@ impl MappingPolicy for CombinedPolicy {
                 }
             }
             _ => MappingDecision::Default(Some(default)),
-        }
-    }
-}
-
-/// The closed strategy enum doubles as a policy: it delegates to the
-/// matching trait impl, so `Scheduler::strategy(...)` and
-/// `Scheduler::policy(...)` produce byte-identical schedules (asserted by
-/// the `policy_parity` integration tests).
-impl MappingPolicy for MappingStrategy {
-    fn name(&self) -> &str {
-        MappingStrategy::name(self)
-    }
-
-    fn secondary_sort(&self) -> SecondarySort {
-        MappingStrategy::secondary_sort(self)
-    }
-
-    fn decide(&self, view: &MapView<'_, '_>, task: TaskId) -> MappingDecision {
-        match *self {
-            MappingStrategy::Hcpa => Hcpa.decide(view, task),
-            MappingStrategy::RatsDelta(p) => DeltaPolicy::from_params(p).decide(view, task),
-            MappingStrategy::RatsTimeCost(p) => TimeCostPolicy::from_params(p).decide(view, task),
-            MappingStrategy::RatsCombined(p) => CombinedPolicy::from_params(p).decide(view, task),
         }
     }
 }

@@ -1,15 +1,20 @@
 //! Mapping strategies and their tunable parameters (paper, section III).
 //!
+//! Each parameter type *is* its policy: [`DeltaParams`], [`TimeCostParams`]
+//! and [`CombinedParams`] implement [`crate::MappingPolicy`] in
+//! [`crate::policy`], next to the parameterless [`crate::Hcpa`]. Parameter
+//! validation lives in their `Result` constructors ([`DeltaParams::new`]
+//! and friends) returning [`StrategyError`].
+//!
 //! [`MappingStrategy`] is the closed, `Copy` enumeration of the shipped
-//! policies — handy for sweeps, tables and serialized experiment specs. It
-//! is a thin constructor layer: each variant delegates its decisions to the
-//! matching [`crate::MappingPolicy`] trait impl in [`crate::policy`], which
-//! is the open extension point. Parameter validation lives in `Result`
-//! constructors ([`DeltaParams::new`] and friends) returning
-//! [`StrategyError`]; the enum's short-hand constructors panic on invalid
-//! input for ergonomic literals in examples and tests.
+//! policies — handy for sweeps and tables. Its one conversion to a policy
+//! object is `From<MappingStrategy> for Box<dyn MappingPolicy>`; its
+//! short-hand constructors panic on invalid input for ergonomic literals in
+//! examples and tests.
 
 use std::fmt;
+
+use crate::policy::{Hcpa, MappingPolicy};
 
 /// A rejected strategy parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,8 +46,9 @@ impl fmt::Display for StrategyError {
 
 impl std::error::Error for StrategyError {}
 
-/// Parameters of the **delta** strategy: purely structural bounds on how far
-/// an allocation may move to adopt a predecessor's processor set.
+/// The **delta** strategy, as its parameters: purely structural bounds on
+/// how far an allocation may move to adopt a predecessor's processor set.
+/// A [`MappingPolicy`] (its decision rule is documented on that impl).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaParams {
     /// Fraction of the original allocation that may be *removed* when
@@ -93,7 +99,8 @@ impl DeltaParams {
     }
 }
 
-/// Parameters of the **time-cost** strategy: work-efficiency driven.
+/// The **time-cost** strategy, as its parameters: work-efficiency driven.
+/// A [`MappingPolicy`] (its decision rule is documented on that impl).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeCostParams {
     /// Minimal acceptable work ratio `ρ = (T(t,n)·n)/(T(t,n')·n') ∈ (0, 1]`
@@ -159,10 +166,11 @@ pub enum CandidatePolicy {
     ParentAware,
 }
 
-/// Parameters of the **combined** strategy (an extension beyond the paper,
-/// in the direction of its future-work "automatic tuning"): candidate
-/// predecessors are gated structurally like *delta*, but the adoption is
-/// validated with finish-time estimates like *time-cost*.
+/// The **combined** strategy, as its parameters (an extension beyond the
+/// paper, in the direction of its future-work "automatic tuning"):
+/// candidate predecessors are gated structurally like *delta*, but the
+/// adoption is validated with finish-time estimates like *time-cost*. A
+/// [`MappingPolicy`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CombinedParams {
     /// Structural bounds (pack/stretch fractions), as in the delta strategy.
@@ -197,76 +205,49 @@ pub enum MappingStrategy {
 
 impl MappingStrategy {
     /// Delta strategy; `mindelta` may be given as the paper's negative value
-    /// or as a magnitude — the sign is dropped. See [`Self::try_rats_delta`]
+    /// or as a magnitude — the sign is dropped. See [`DeltaParams::new`]
     /// for the non-panicking form.
     ///
     /// # Panics
     /// Panics if the parameters are invalid.
     pub fn rats_delta(mindelta: f64, maxdelta: f64) -> Self {
-        Self::try_rats_delta(mindelta, maxdelta).unwrap_or_else(|e| panic!("{e}"))
+        DeltaParams::new(mindelta, maxdelta)
+            .map(Self::RatsDelta)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Delta strategy with validated parameters.
-    pub fn try_rats_delta(mindelta: f64, maxdelta: f64) -> Result<Self, StrategyError> {
-        Ok(Self::RatsDelta(DeltaParams::new(mindelta, maxdelta)?))
-    }
-
-    /// Time-cost strategy. See [`Self::try_rats_time_cost`] for the
+    /// Time-cost strategy. See [`TimeCostParams::new`] for the
     /// non-panicking form.
     ///
     /// # Panics
     /// Panics if the parameters are invalid.
     pub fn rats_time_cost(minrho: f64, allow_packing: bool) -> Self {
-        Self::try_rats_time_cost(minrho, allow_packing).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Time-cost strategy with validated parameters.
-    pub fn try_rats_time_cost(minrho: f64, allow_packing: bool) -> Result<Self, StrategyError> {
-        Ok(Self::RatsTimeCost(TimeCostParams::new(
-            minrho,
-            allow_packing,
-        )?))
+        TimeCostParams::new(minrho, allow_packing)
+            .map(Self::RatsTimeCost)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Combined strategy: delta bounds + time-cost estimate validation
     /// (`mindelta` sign is dropped, as in [`Self::rats_delta`]). See
-    /// [`Self::try_rats_combined`] for the non-panicking form.
+    /// [`CombinedParams::new`] for the non-panicking form.
     ///
     /// # Panics
     /// Panics if the parameters are invalid.
     pub fn rats_combined(mindelta: f64, maxdelta: f64, minrho: f64) -> Self {
-        Self::try_rats_combined(mindelta, maxdelta, minrho).unwrap_or_else(|e| panic!("{e}"))
+        DeltaParams::new(mindelta, maxdelta)
+            .and_then(|delta| CombinedParams::new(delta, minrho))
+            .map(Self::RatsCombined)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Combined strategy with validated parameters.
-    pub fn try_rats_combined(
-        mindelta: f64,
-        maxdelta: f64,
-        minrho: f64,
-    ) -> Result<Self, StrategyError> {
-        Ok(Self::RatsCombined(CombinedParams::new(
-            DeltaParams::new(mindelta, maxdelta)?,
-            minrho,
-        )?))
-    }
-
-    /// The ready-list secondary sort this strategy uses.
-    pub fn secondary_sort(&self) -> SecondarySort {
+    /// Short display name used by the experiment tables: the selected
+    /// policy's [`MappingPolicy::name`].
+    pub fn name(&self) -> &str {
         match self {
-            MappingStrategy::Hcpa => SecondarySort::None,
-            MappingStrategy::RatsDelta(_) => SecondarySort::DeltaAscending,
-            MappingStrategy::RatsTimeCost(_) => SecondarySort::GainDescending,
-            MappingStrategy::RatsCombined(_) => SecondarySort::DeltaAscending,
-        }
-    }
-
-    /// Short display name used by the experiment tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MappingStrategy::Hcpa => "HCPA",
-            MappingStrategy::RatsDelta(_) => "delta",
-            MappingStrategy::RatsTimeCost(_) => "time-cost",
-            MappingStrategy::RatsCombined(_) => "combined",
+            MappingStrategy::Hcpa => Hcpa.name(),
+            MappingStrategy::RatsDelta(p) => p.name(),
+            MappingStrategy::RatsTimeCost(p) => p.name(),
+            MappingStrategy::RatsCombined(p) => p.name(),
         }
     }
 }
@@ -318,9 +299,6 @@ mod tests {
             CombinedParams::new(DeltaParams::naive(), 1.5),
             Err(StrategyError::Minrho(1.5))
         );
-        assert!(MappingStrategy::try_rats_delta(0.5, 0.5).is_ok());
-        assert!(MappingStrategy::try_rats_time_cost(2.0, true).is_err());
-        assert!(MappingStrategy::try_rats_combined(0.5, 1.0, 0.0).is_err());
     }
 
     #[test]
@@ -336,14 +314,19 @@ mod tests {
 
     #[test]
     fn secondary_sorts_match_strategies() {
-        assert_eq!(MappingStrategy::Hcpa.secondary_sort(), SecondarySort::None);
+        let sort = |s: MappingStrategy| Box::<dyn MappingPolicy>::from(s).secondary_sort();
+        assert_eq!(sort(MappingStrategy::Hcpa), SecondarySort::None);
         assert_eq!(
-            MappingStrategy::rats_delta(0.5, 0.5).secondary_sort(),
+            sort(MappingStrategy::rats_delta(0.5, 0.5)),
             SecondarySort::DeltaAscending
         );
         assert_eq!(
-            MappingStrategy::rats_time_cost(0.5, true).secondary_sort(),
+            sort(MappingStrategy::rats_time_cost(0.5, true)),
             SecondarySort::GainDescending
+        );
+        assert_eq!(
+            sort(MappingStrategy::rats_combined(0.5, 1.0, 0.4)),
+            SecondarySort::DeltaAscending
         );
     }
 
@@ -351,7 +334,6 @@ mod tests {
     fn combined_strategy_construction() {
         let s = MappingStrategy::rats_combined(-0.5, 1.0, 0.4);
         assert_eq!(s.name(), "combined");
-        assert_eq!(s.secondary_sort(), SecondarySort::DeltaAscending);
         match s {
             MappingStrategy::RatsCombined(p) => {
                 assert_eq!(p.delta.mindelta, 0.5);

@@ -1,12 +1,12 @@
 //! Mapping-engine metrics: phase histograms (step-one allocation, whole
 //! mapping runs, ready-list rounds) and work counters (estimates evaluated
 //! vs. pruned, `data_ready` memo and [`rats_redist::RedistCache`] hit
-//! rates, [`ArgminTree`](crate::mapping) updates).
+//! rates, `ArgminTree` updates).
 //!
 //! Everything is observational: the engine never reads a metric back, and
 //! the parity suite pins byte-identical schedules with telemetry enabled.
 //! The hot loop does not touch atomics — per-run tallies accumulate in
-//! plain [`Cell`]s on the mapper ([`RunTally`]) and flush into the global
+//! plain [`Cell`]s on the mapper (`RunTally`) and flush into the global
 //! counters once per mapping run.
 
 use std::cell::Cell;

@@ -505,10 +505,10 @@ fn cmd_describe(args: &[String]) {
         grid.strategies(),
         grid.len()
     );
-    let strategies: Vec<&str> = spec
+    let strategies: Vec<String> = spec
         .strategies
         .iter()
-        .map(|s| s.to_strategy().expect("spec validated").name())
+        .map(|s| s.to_strategy().expect("spec validated").name().to_string())
         .collect();
     println!("strategies: {}", strategies.join(", "));
     println!("clusters: {}", spec.clusters.join(", "));

@@ -63,9 +63,13 @@
 //! The mapping step is open: implement
 //! [`MappingPolicy`](sched::MappingPolicy) on your own type and hand it to
 //! [`Pipeline::policy`] (see `examples/custom_policy.rs` and the
-//! [`sched::policy`] module docs). The shipped policies remain available
-//! through the [`MappingStrategy`](sched::MappingStrategy) enum, which is
-//! plain data — handy for sweeps and serialized experiment specs.
+//! [`sched::policy`] module docs). The shipped policies are
+//! [`Hcpa`](sched::Hcpa) and the parameter types
+//! [`DeltaParams`](sched::DeltaParams),
+//! [`TimeCostParams`](sched::TimeCostParams) and
+//! [`CombinedParams`](sched::CombinedParams); the
+//! [`MappingStrategy`](sched::MappingStrategy) enum names one of them as a
+//! single `Copy` value, handy for sweeps.
 
 #![forbid(unsafe_code)]
 
@@ -98,8 +102,7 @@ pub mod prelude {
     pub use rats_model::{AmdahlLaw, CostParams, TaskCost};
     pub use rats_platform::{ClusterSpec, Platform, ProcSet};
     pub use rats_sched::{
-        AreaPolicy, CombinedPolicy, DeltaPolicy, Hcpa, MappingPolicy, MappingStrategy, Schedule,
-        Scheduler, StrategyError, TimeCostPolicy,
+        AreaPolicy, Hcpa, MappingPolicy, MappingStrategy, Schedule, Scheduler, StrategyError,
     };
     pub use rats_sim::{simulate, SimOutcome};
     pub use rats_workloads::{

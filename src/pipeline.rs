@@ -30,7 +30,10 @@ use rats_sched::{
 };
 use rats_sim::{simulate, SimOutcome};
 
-/// Where a [`Run`]'s numbers came from: everything needed to regenerate it.
+/// Where a [`Run`]'s numbers came from: the platform, the mapping policy's
+/// display name, the allocation parameters and the seed. The policy's own
+/// parameters and the [`CandidatePolicy`] are not recorded, so two runs
+/// with different `minrho` share a provenance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Provenance {
     /// Platform (cluster) name.
@@ -80,8 +83,8 @@ impl Run {
 ///
 /// Defaults reproduce the paper's baseline: HCPA allocation
 /// ([`AllocParams::default`]) and the non-adopting HCPA mapping. Swap the
-/// mapping policy with [`Pipeline::policy`] — a [`MappingStrategy`] variant
-/// or any external [`MappingPolicy`] implementation.
+/// mapping policy with [`Pipeline::policy`] — any [`MappingPolicy`]
+/// implementation, shipped or external, or a [`MappingStrategy`] value.
 #[derive(Clone)]
 pub struct Pipeline {
     platform: Platform,

@@ -11,7 +11,12 @@
 //! check-pointed, diffed and merged with the same guarantees campaigns get.
 //!
 //! The schedule is deliberately **not** stored: the pipeline is
-//! deterministic, so the provenance regenerates it exactly.
+//! deterministic, so rerunning the same configuration on the same DAG
+//! reproduces it exactly. The provenance does not pin that configuration
+//! on its own: it names the mapping policy (e.g. `"time-cost"`) but
+//! records neither the policy's parameters (`minrho`, `allow_packing`, …)
+//! nor the [`CandidatePolicy`](rats_sched::CandidatePolicy), and it holds
+//! no DAG.
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -70,7 +75,9 @@ impl Deserialize for Provenance {
 /// round trip bit-exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArtifact {
-    /// How the run was produced (enough to regenerate it).
+    /// How the run was produced: platform, policy display name,
+    /// allocation parameters and seed (not enough to regenerate it alone;
+    /// see the module docs).
     pub provenance: Provenance,
     /// Simulated makespan in seconds.
     pub makespan: f64,

@@ -1,10 +1,13 @@
 //! Parity between the closed `MappingStrategy` enum and the open
 //! `MappingPolicy` trait impls: for every variant, both forms must produce
 //! **byte-identical** schedules over the FFT/Strassen/random suite, whether
-//! driven through `Scheduler` or through `Pipeline`.
+//! driven through `Scheduler` or through `Pipeline`, and must select the
+//! same engine hooks.
 
 use rats::prelude::*;
-use rats::sched::{allocate, AllocParams, CombinedPolicy, MappingStrategy};
+use rats::sched::{
+    allocate, AllocParams, CombinedParams, DeltaParams, MappingStrategy, TimeCostParams,
+};
 
 /// (enum form, trait form) pairs covering every variant.
 fn pairs() -> Vec<(MappingStrategy, Box<dyn MappingPolicy>)> {
@@ -12,23 +15,23 @@ fn pairs() -> Vec<(MappingStrategy, Box<dyn MappingPolicy>)> {
         (MappingStrategy::Hcpa, Box::new(Hcpa)),
         (
             MappingStrategy::rats_delta(0.5, 0.5),
-            Box::new(DeltaPolicy::new(0.5, 0.5).unwrap()),
+            Box::new(DeltaParams::new(0.5, 0.5).unwrap()),
         ),
         (
             MappingStrategy::rats_delta(0.75, 1.0),
-            Box::new(DeltaPolicy::new(-0.75, 1.0).unwrap()),
+            Box::new(DeltaParams::new(-0.75, 1.0).unwrap()),
         ),
         (
             MappingStrategy::rats_time_cost(0.5, true),
-            Box::new(TimeCostPolicy::new(0.5, true).unwrap()),
+            Box::new(TimeCostParams::new(0.5, true).unwrap()),
         ),
         (
             MappingStrategy::rats_time_cost(0.2, false),
-            Box::new(TimeCostPolicy::new(0.2, false).unwrap()),
+            Box::new(TimeCostParams::new(0.2, false).unwrap()),
         ),
         (
             MappingStrategy::rats_combined(0.5, 1.0, 0.4),
-            Box::new(CombinedPolicy::new(0.5, 1.0, 0.4).unwrap()),
+            Box::new(CombinedParams::new(DeltaParams::new(0.5, 1.0).unwrap(), 0.4).unwrap()),
         ),
     ]
 }
@@ -90,7 +93,20 @@ fn pipeline_matches_scheduler_for_every_variant() {
 #[test]
 fn policy_names_match_enum_names() {
     for (strategy, policy) in pairs() {
-        assert_eq!(strategy.name(), policy.name());
-        assert_eq!(strategy.secondary_sort(), policy.secondary_sort());
+        let selected: Box<dyn MappingPolicy> = strategy.into();
+        let name = strategy.name();
+        assert_eq!(name, policy.name());
+        assert_eq!(selected.name(), policy.name());
+        assert_eq!(selected.secondary_sort(), policy.secondary_sort(), "{name}");
+        assert_eq!(
+            selected.repeats_estimates(),
+            policy.repeats_estimates(),
+            "{name}: engine path"
+        );
+        assert_eq!(
+            selected.memoize_data_ready(),
+            policy.memoize_data_ready(),
+            "{name}: data_ready memo"
+        );
     }
 }
